@@ -1,8 +1,10 @@
 """Campaign-engine throughput bench (the parallel-sweep trajectory).
 
 Runs a scaled-down Fig. 5 sweep serial vs parallel vs cached replay,
-asserts the results are bit-identical on every path, and appends the
-record to ``BENCH_campaign.json`` (see EXPERIMENTS.md).
+asserts the results are bit-identical on every path, and checks the
+record appends to a temporary trajectory file (``scripts/bench.py
+--bench campaign`` appends to ``BENCH_campaign.json``, see
+EXPERIMENTS.md).
 
 The ≥4× wall-clock target only holds with real cores to fan out to, so
 the speedup assertion is gated behind ``REPRO_BENCH_STRICT`` — on a
@@ -45,8 +47,9 @@ def test_cached_replay_is_fast(campaign_record):
         < campaign_record["serial_seconds"] * 0.5
 
 
-def test_campaign_record_appended(campaign_record):
-    path = append_record(campaign_record, bench="campaign")
+def test_campaign_record_appended(campaign_record, tmp_path):
+    path = append_record(campaign_record, tmp_path / "BENCH_campaign.json",
+                         bench="campaign")
     trajectory = load_trajectory(path, bench="campaign")
     assert trajectory["records"], "trajectory file empty after append"
     last = trajectory["records"][-1]

@@ -3,8 +3,9 @@
 Measures instructions/second of every registered engine tier (interp,
 decoded, compiled) over the default workload mix, asserts the ≥5×
 decoded-over-interp target and the compiled-over-decoded target, and
-appends the record to ``BENCH_engine.json`` so later PRs regress
-against a written-down baseline (see EXPERIMENTS.md).
+checks the record appends to a trajectory file.  The test writes to a
+temporary file; ``scripts/bench.py`` appends to the committed
+``BENCH_engine.json`` (see EXPERIMENTS.md).
 
 Every measurement also differentially verifies that all engines
 finished in bit-identical architectural state — a fast wrong simulator
@@ -58,9 +59,9 @@ def test_compiled_speedup_target(engine_record):
     assert engine_record["compiled_over_decoded_min"] >= threshold * 0.6
 
 
-def test_engine_record_appended(engine_record):
-    """The measured record lands in BENCH_engine.json."""
-    path = append_record(engine_record)
+def test_engine_record_appended(engine_record, tmp_path):
+    """The measured record lands in a trajectory file."""
+    path = append_record(engine_record, tmp_path / "BENCH_engine.json")
     from repro.perfbench import load_trajectory
     trajectory = load_trajectory(path)
     assert trajectory["records"], "trajectory file empty after append"

@@ -1,8 +1,9 @@
 """SoC scheduler bench (the co-simulation arbitration trajectory).
 
 Runs a scaled-down slice of the Fig. 4/6/7-shaped grid under both
-co-sim schedulers, asserts the runs are bit-identical, and appends the
-record to ``BENCH_soc.json`` (see EXPERIMENTS.md).
+co-sim schedulers, asserts the runs are bit-identical, and checks the
+record appends to a temporary trajectory file (``scripts/bench.py
+--bench soc`` appends to ``BENCH_soc.json``, see EXPERIMENTS.md).
 
 The ≥2× at 8+ cores wall-clock target is a property of the full grid
 on a quiet host, so — like the campaign bench — the speedup assertion
@@ -46,8 +47,8 @@ def test_grid_covers_multi_pair_dies(soc_record):
     assert max(cores) >= 8, "bench slice lost its 8+-core point"
 
 
-def test_soc_record_appended(soc_record):
-    path = append_record(soc_record, bench="soc")
+def test_soc_record_appended(soc_record, tmp_path):
+    path = append_record(soc_record, tmp_path / "BENCH_soc.json", bench="soc")
     trajectory = load_trajectory(path, bench="soc")
     assert trajectory["records"], "trajectory file empty after append"
     last = trajectory["records"][-1]

@@ -16,6 +16,20 @@ The engine is driven in small steps by the SoC co-simulation so checker
 cycles interleave realistically with main-core cycles; backpressure and
 detection latency emerge from that interleaving.
 
+Waiting is one action, not one per cycle.  Whenever the checker cannot
+proceed — no SCP yet, a safe count that is too low, MAL entries still
+missing, no visible ECP, or a failed segment's leftovers not yet
+arrived — it idles straight to its next *wake-up*: the first cycle at
+which a queued packet becomes visible, capped at the action's horizon,
+and at least one cycle away.  This is exact.  A waiting checker's
+decisions read only the visible part of its channel; packets queue in
+push order with non-decreasing ``push_cycle`` (RCPM stamps them at
+stage time and fault taps leave the stamp alone), so the visible part
+grows only at those wake-up cycles.  Nothing else can change it before
+the horizon, where another core may run and push.  Each skipped cycle
+would have made the same wait decision, so cycles, ``idle_cycles``
+and every later event land where one-cycle ticks would put them.
+
 Replay steps one instruction at a time (``peek_kind_code`` +
 ``exec_one``), so the checker itself never batches through an
 execution-engine tier; main cores may run under any
@@ -217,16 +231,13 @@ class CheckerEngine:
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the checker by one action; charges its own cycles."""
-        if self.state is CheckerState.IDLE:
-            self._idle(1)
-            return
-        if self.state is CheckerState.WAIT_SCP:
-            self._step_wait_scp()
-        elif self.state is CheckerState.REPLAY:
-            self._step_replay()
-        elif self.state is CheckerState.SKIP:
-            self._step_skip()
+        """Take one checker action outside an :meth:`advance` window.
+
+        Another core may push into the channel on the very next cycle,
+        so the action's horizon is one cycle away: a wait lasts one
+        cycle, and a failed segment's drain pops one packet.
+        """
+        self._act(self.core.stats.cycles + 1)
 
     def advance(self, horizon: Optional[int] = None,
                 max_actions: int = 256) -> int:
@@ -237,10 +248,17 @@ class CheckerEngine:
         stays below ``horizon`` — the point where another core would
         become the event-ordering minimum — and there is conceivably
         work left.  Returns the number of actions taken.
+
+        No other core runs inside the window, so the channel's contents
+        are fixed and only a queued packet becoming visible can end a
+        wait: each wait jumps to the next wake-up (see the module
+        docstring), and draining a failed segment pops every visible
+        packet up to its ECP in one action.  ``None`` leaves the window
+        unbounded (the checker is the only candidate).
         """
         done = 0
         while True:
-            self.step()
+            self._act(horizon)
             done += 1
             if done >= max_actions:
                 break
@@ -250,12 +268,24 @@ class CheckerEngine:
                 break
         return done
 
+    def _act(self, horizon: Optional[int]) -> None:
+        """One action; waits and drains stop by ``horizon``."""
+        state = self.state
+        if state is CheckerState.REPLAY:
+            self._step_replay(horizon)
+        elif state is CheckerState.WAIT_SCP:
+            self._step_wait_scp(horizon)
+        elif state is CheckerState.SKIP:
+            self._step_skip(horizon)
+        else:
+            self._wait(horizon)
+
     # -- WAIT_SCP -------------------------------------------------------
 
-    def _step_wait_scp(self) -> None:
+    def _step_wait_scp(self, horizon: Optional[int]) -> None:
         packet = self.channel.head(self.core.stats.cycles)
         if packet is None:
-            self._idle(1)
+            self._wait(horizon)
             return
         if not isinstance(packet, ScpPacket):
             # Protocol corruption (e.g. a fault flipped stream framing):
@@ -279,7 +309,7 @@ class CheckerEngine:
 
     # -- REPLAY -----------------------------------------------------------
 
-    def _step_replay(self) -> None:
+    def _step_replay(self, horizon: Optional[int]) -> None:
         now = self.core.stats.cycles
         packet = self.channel.head(now)
 
@@ -307,13 +337,13 @@ class CheckerEngine:
                            f"{self._executed}")
                 self.state = CheckerState.SKIP
                 return
-            self._step_verify_ecp(packet)
+            self._step_verify_ecp(packet, horizon)
             return
 
         # Replay one more instruction if it is safe to do so.
         next_count = self._executed + 1
         if self._ic is None and next_count > self._safe_count:
-            self._idle(1)
+            self._wait(horizon)
             return
         try:
             # Decoded-dispatch metadata peek: no Instruction fetch, no
@@ -334,7 +364,7 @@ class CheckerEngine:
             return
         needed = MAL_ENTRIES_BY_KIND[kind_code]
         if needed and not self._entries_ready(needed):
-            self._idle(1)
+            self._wait(horizon)
             return
         try:
             # Record-free fast path: replay needs only the architectural
@@ -347,10 +377,11 @@ class CheckerEngine:
         self._executed += 1
         self.stats.replayed_instructions += 1
 
-    def _step_verify_ecp(self, packet: Optional[Packet]) -> None:
+    def _step_verify_ecp(self, packet: Optional[Packet],
+                         horizon: Optional[int]) -> None:
         now = self.core.stats.cycles
         if packet is None:
-            self._idle(1)
+            self._wait(horizon)
             return
         if not isinstance(packet, EcpPacket):
             self.channel.pop(now)
@@ -377,17 +408,26 @@ class CheckerEngine:
 
     # -- SKIP -------------------------------------------------------------
 
-    def _step_skip(self) -> None:
-        """Drain the remainder of a failed segment up to its ECP."""
-        now = self.core.stats.cycles
-        packet = self.channel.head(now)
+    def _step_skip(self, horizon: Optional[int]) -> None:
+        """Drain the remainder of a failed segment up to its ECP: every
+        packet visible before ``horizon``, one cycle per pop."""
+        channel = self.channel
+        stats = self.core.stats
+        packet = channel.head(stats.cycles)
         if packet is None:
-            self._idle(1)
+            self._wait(horizon)
             return
-        self.channel.pop(now)
-        self._charge(1)
-        if isinstance(packet, EcpPacket):
-            self.state = CheckerState.WAIT_SCP
+        while True:
+            channel.pop(stats.cycles)
+            stats.cycles += 1
+            if isinstance(packet, EcpPacket):
+                self.state = CheckerState.WAIT_SCP
+                return
+            if horizon is not None and stats.cycles >= horizon:
+                return
+            packet = channel.head(stats.cycles)
+            if packet is None:
+                return
 
     # ------------------------------------------------------------------
     # helpers
@@ -418,7 +458,15 @@ class CheckerEngine:
             close_reason=self._ic_reason))
         self.stats.segments_failed += 1
 
-    def _idle(self, cycles: int) -> None:
+    def _wait(self, horizon: Optional[int]) -> None:
+        """Idle until the next wake-up: the cycle the first queued
+        packet not yet visible becomes visible, capped at ``horizon``,
+        and at least one cycle."""
+        now = self.core.stats.cycles
+        wake = self.channel.next_arrival(now)
+        if wake is None or (horizon is not None and horizon < wake):
+            wake = horizon
+        cycles = wake - now if wake is not None and wake > now else 1
         self.core.stats.cycles += cycles
         self.stats.idle_cycles += cycles
 

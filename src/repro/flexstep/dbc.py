@@ -85,6 +85,20 @@ class Channel:
             return None
         return packet
 
+    def next_arrival(self, now: int) -> Optional[int]:
+        """The cycle the first packet not yet visible at ``now`` becomes
+        visible, or None when every queued packet already is.
+
+        Packets queue in push order with non-decreasing ``push_cycle``,
+        so the visible packets are a prefix of the queue and this is
+        the next cycle at which that prefix grows."""
+        latency = self.latency
+        for packet in self._queue:
+            visible = packet.push_cycle + latency
+            if now < visible:
+                return visible
+        return None
+
     def pop(self, now: Optional[int] = None) -> Packet:
         packet = self.head(now)
         if packet is None:

@@ -435,8 +435,19 @@ class ReproService:
         A dedicated reader thread feeds a queue so the main loop can
         poll the shutdown flag (a blocking ``readline`` would sit out
         a SIGTERM until the next request arrived).
+
+        Without an explicit ``stdin`` the reader reads a private
+        duplicate of fd 0, and fd 0 and ``sys.stdin`` move to
+        ``/dev/null``.  A blocked reader holds its stream's lock, and a
+        worker forked meanwhile closes ``sys.stdin`` at start-up: on the
+        shared stream it would wait for that lock forever.
         """
-        stdin = stdin if stdin is not None else sys.stdin
+        if stdin is None:
+            stdin = os.fdopen(os.dup(0), "r")
+            devnull = os.open(os.devnull, os.O_RDONLY)
+            os.dup2(devnull, 0)
+            os.close(devnull)
+            sys.stdin = open(os.devnull)
         stdout = stdout if stdout is not None else sys.stdout
         self.start()
         self._install_signals()
