@@ -25,6 +25,9 @@ The core dispatches through one of three bit-identical engines:
     with no string comparison, no ``inst.info`` registry lookup and —
     on the record-free paths :meth:`advance` / :meth:`exec_one` — no
     per-step allocation for non-memory instructions.
+    :meth:`commit_one` is the record-free path for main cores under
+    verification: it hands the commit's fields to the FlexStep
+    adapter instead of building a :class:`CommitRecord`.
 
 ``compiled``
     The code-generating trace tier (:mod:`repro.core.compile`): hot
@@ -215,6 +218,9 @@ class CoreStats:
 
 
 CommitHook = Callable[[CommitRecord], None]
+
+#: ``report(pc, prior_priv, mem_ops, trap, halt)`` of :meth:`Core.commit_one`.
+CommitReport = Callable[[int, Privilege, tuple, bool, bool], None]
 
 
 class Core:
@@ -433,6 +439,49 @@ class Core:
             stats.user_instructions += 1
         stats.cycles += cycles
         self.csrs._csrs[CSR_INSTRET] += 1
+        return cycles
+
+    def commit_one(self, report: CommitReport) -> int:
+        """Execute one instruction and report it without a record.
+
+        The commit path of a core with a FlexStep main-core adapter:
+        architectural state, stats and ``instret`` advance exactly as in
+        :meth:`step`, and ``report(pc, prior_priv, mem_ops, trap, halt)``
+        receives what the adapter reads from a :class:`CommitRecord`
+        (``mem_ops`` are the Memory Access Log entries in commit order).
+        No record is built, no commit hook runs and no ``inst.info``
+        lookup is made.  Decoded engines only, with no interrupt
+        pending; callers take :meth:`step` otherwise.  Returns the
+        cycles charged.
+        """
+        if self.halted:
+            raise IllegalInstructionError(
+                f"core {self.core_id} is halted")
+        if self.program is None:
+            raise IllegalInstructionError(
+                f"core {self.core_id} has no program loaded")
+        d = self._decoded
+        if d is None or d.program is not self.program:
+            d = self.decoded()
+        pc = self.pc
+        off = pc - d.base
+        if off < 0 or off >= d.limit or off & 3:
+            self.program.fetch(pc)  # raises with canonical message
+        extra = 0
+        if self.l1i is not None and self.hierarchy is not None:
+            extra = self.hierarchy.fetch_access(self.l1i, pc)
+        prior_priv = self.priv
+        self._mem_scratch = ()
+        self._trap_scratch = -1
+        cycles = d.kernels[off >> 2](self) + extra
+        stats = self.stats
+        stats.instructions += 1
+        if prior_priv is Privilege.USER:
+            stats.user_instructions += 1
+        stats.cycles += cycles
+        self.csrs._csrs[CSR_INSTRET] += 1
+        report(pc, prior_priv, self._mem_scratch, self._trap_scratch >= 0,
+               self.halted)
         return cycles
 
     def advance(self, n: int) -> int:

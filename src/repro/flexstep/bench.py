@@ -25,6 +25,7 @@ Environment knobs (all optional):
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from datetime import datetime, timezone
@@ -169,9 +170,10 @@ def soc_fingerprint(
 
     Captures the run stats, every core's final cycle count, each
     checker engine's ordered ``SegmentResult`` stream and counters,
-    and each injector's fault records — the identity the differential
-    suite (``tests/flexstep/test_soc_sched.py``) and the always-on
-    bench gate both assert on.
+    its inbound channel's stats, and each injector's fault records —
+    the identity the differential suite
+    (``tests/flexstep/test_soc_sched.py``) and the always-on bench gate
+    both assert on.
     """
     segment_rows = []
     for cid, engine in sorted(soc._engines.items()):
@@ -193,6 +195,7 @@ def soc_fingerprint(
             engine.stats.replayed_instructions,
             engine.stats.idle_cycles,
             engine.stats.verified_entries,
+            dataclasses.astuple(engine.channel.stats),
         )
         segment_rows.append(counters)
     fault_rows = []

@@ -14,6 +14,8 @@ TCLS-like triple mode, and so on up to ``max_checkers_per_main``).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, Optional
@@ -29,6 +31,12 @@ class ChannelStats:
     pops: int = 0
     entries_pushed: int = 0
     refusals: int = 0
+    #: Peak occupancy in simulated time: a push counts at the main
+    #: core's clock, a pop at the checker's, and pops come first at
+    #: equal clocks.  The order the co-simulation runs the two cores in
+    #: does not move it, as long as every pop's clock is no later than
+    #: the pushes that follow it (the SoC schedulers' conservative
+    #: ordering guarantees this).
     max_occupancy: int = 0
 
 
@@ -46,6 +54,16 @@ class Channel:
         self.occupancy = 0
         self.stats = ChannelStats()
         self._queue: Deque[Packet] = deque()
+        # Simulated-time peak (ChannelStats.max_occupancy).  The pushes
+        # no pop at a later clock has followed yet: their clocks, and the
+        # entries ever pushed up to and including each (int64 arrays: a
+        # checker that falls behind leaves hundreds pending per
+        # channel); the entries ever popped; and the peak over the
+        # pushes already settled.
+        self._push_clocks = array("q")
+        self._push_totals = array("q")
+        self._entries_out = 0
+        self._settled_peak = 0
         #: Observers called on every successful push (fault injection).
         self._push_taps: list[Callable[[Packet], Packet]] = []
 
@@ -60,8 +78,11 @@ class Channel:
     def can_push(self, packet: Packet) -> bool:
         return packet.entries <= self.free_entries()
 
-    def push(self, packet: Packet) -> bool:
-        """Append ``packet`` if it fits; returns success."""
+    def push(self, packet: Packet, now: Optional[int] = None) -> bool:
+        """Append ``packet`` if it fits; returns success.
+
+        ``now`` is the pushing main core's clock (default: the packet's
+        ``push_cycle``)."""
         if not self.can_push(packet):
             self.stats.refusals += 1
             return False
@@ -71,9 +92,27 @@ class Channel:
         self.occupancy += packet.entries
         self.stats.pushes += 1
         self.stats.entries_pushed += packet.entries
-        self.stats.max_occupancy = max(self.stats.max_occupancy,
-                                       self.occupancy)
+        self._push_clocks.append(packet.push_cycle if now is None else now)
+        self._push_totals.append(self.occupancy + self._entries_out)
+        if self.occupancy > self.stats.max_occupancy:
+            self.stats.max_occupancy = self.occupancy
         return True
+
+    def _settle(self, now: Optional[int]) -> None:
+        """Fold in the pushes made before clock ``now`` (all if None).
+
+        Pops arrive in clock order, so no later pop can come before
+        such a push: its simulated-time occupancy is final.  Each one's
+        is its entry total less the entries popped so far, so the
+        latest is the highest."""
+        clocks = self._push_clocks
+        settled = len(clocks) if now is None else bisect_left(clocks, now)
+        if settled:
+            level = self._push_totals[settled - 1] - self._entries_out
+            if level > self._settled_peak:
+                self._settled_peak = level
+            del clocks[:settled]
+            del self._push_totals[:settled]
 
     def head(self, now: Optional[int] = None) -> Optional[Packet]:
         """Peek the oldest packet; ``now`` (checker cycles) gates on the
@@ -105,9 +144,14 @@ class Channel:
             raise ChannelError(
                 f"pop from empty/not-yet-delivered channel "
                 f"{self.main_id}->{self.checker_id}")
+        self._settle(now)
         self._queue.popleft()
         self.occupancy -= packet.entries
+        self._entries_out += packet.entries
         self.stats.pops += 1
+        self.stats.max_occupancy = (
+            max(self._settled_peak, self.occupancy) if self._push_clocks
+            else self._settled_peak)
         return packet
 
     def __len__(self) -> int:
@@ -116,8 +160,11 @@ class Channel:
     def drain(self) -> list[Packet]:
         """Remove and return everything (checker released / reset)."""
         out = list(self._queue)
+        self._settle(None)
+        self._entries_out += self.occupancy
         self._queue.clear()
         self.occupancy = 0
+        self.stats.max_occupancy = self._settled_peak
         return out
 
     def iter_packets(self) -> Iterable[Packet]:

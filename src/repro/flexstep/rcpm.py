@@ -11,11 +11,15 @@ to a core configured as *main*:
 * **MAL** — packages each committed memory operation (one entry for
   LD/ST, multiple for LR/SC/AMO) in commit order (Sec. III-B).
 
-The adapter attaches to a :class:`~repro.core.core.Core` through its
-commit hook plus a ``before_step`` call from the SoC loop (needed to
-capture the SCP *before* the first instruction of a segment executes).
-Packets go to the adapter's outbound queue; the SoC flushes that queue
-into the interconnect channels and stalls the core when they are full.
+The adapter hears of every commit through :meth:`MainCoreAdapter.on_commit`:
+the SoC loop passes it to the core's record-free
+:meth:`~repro.core.core.Core.commit_one`, and the commit hook that
+serves the :meth:`~repro.core.core.Core.step` path (the ``interp``
+engine, interrupts) unpacks a record into the same call.  A
+``before_step`` call from the SoC loop captures the SCP *before* the
+first instruction of a segment executes.  Packets go to the adapter's
+outbound queue; the SoC flushes that queue into the interconnect
+channels and stalls the core when they are full.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from typing import Deque, Optional
 
 from ..config import FlexStepConfig
 from ..core.core import CommitRecord, Core
-from ..core.registers import Privilege
+from ..core.decode import MAL_ENTRIES_BY_KIND
+from ..core.registers import ArchSnapshot, Privilege
 from ..isa.instructions import OpKind
 from .dbc import Channel
 from .packets import (
@@ -49,6 +54,22 @@ SNAPSHOT_TRANSFER_CYCLES = 17
 
 #: Emit a progress heartbeat at least every this many user instructions.
 PROGRESS_INTERVAL = 64
+
+
+def max_step_entries(snapshot: ArchSnapshot) -> int:
+    """FIFO entries one main-core step can stage at most.
+
+    ``before_step`` may open a segment (an SCP); the commit then stages
+    its MAL entries (two for an AMO; a progress heartbeat, the
+    alternative, is one) and, if it closes the segment, an IC and an
+    ECP.
+    """
+    scp = ScpPacket(segment=0, push_cycle=0, snapshot=snapshot)
+    ecp = EcpPacket(segment=0, push_cycle=0, snapshot=snapshot)
+    mal = MemPacket(segment=0, push_cycle=0).entries
+    ic = IcPacket(segment=0, push_cycle=0)
+    return (scp.entries + max(MAL_ENTRIES_BY_KIND) * mal + ic.entries
+            + ecp.entries)
 
 
 @dataclass
@@ -84,7 +105,11 @@ class MainCoreAdapter:
         self._last_progress = 0
         # outbound staging (the main core's own FIFO contents)
         self._outbox: Deque[Packet] = deque()
-        self._hooked = False
+        #: Whether :meth:`_on_commit` is registered on the core.
+        self.hooked = False
+        #: Free entries every channel needs so that one step's packets
+        #: all go out at once (see :meth:`can_run_ahead`).
+        self.step_entries = max_step_entries(core.snapshot())
 
     # ------------------------------------------------------------------
     # configuration (driven by the FlexStep ISA facade)
@@ -99,9 +124,9 @@ class MainCoreAdapter:
         user-mode instruction."""
         if not self.channels:
             raise RuntimeError("enable() before associate()")
-        if not self._hooked:
+        if not self.hooked:
             self.core.add_commit_hook(self._on_commit)
-            self._hooked = True
+            self.hooked = True
         self.enabled = True
 
     def disable(self) -> None:
@@ -150,33 +175,60 @@ class MainCoreAdapter:
         (one-to-two mode must keep checkers consistent), so a single
         full channel backpressures the main core.
         """
+        now = self.core.stats.cycles
         while self._outbox:
             packet = self._outbox[0]
             if not all(ch.can_push(packet) for ch in self.channels):
                 return
             for ch in self.channels:
-                ch.push(packet)
+                ch.push(packet, now)
             self._outbox.popleft()
+
+    def can_run_ahead(self) -> bool:
+        """True when the core's next step reaches the checkers only
+        through packets that belong to a segment and go out at once.
+
+        Checking is enabled, nothing is staged, a segment is open or
+        the core is in user mode (so ``before_step`` opens one), and
+        every channel has room for the most one step can stage.  The
+        SoC adds the cache conditions before it lets the core run past
+        its checkers' clocks.
+        """
+        if not self.enabled or self._outbox or not (
+                self._segment_open
+                or self.core.priv is Privilege.USER):
+            return False
+        need = self.step_entries
+        for ch in self.channels:
+            if ch.free_entries() < need:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # CPC / MAL behaviour at commit
     # ------------------------------------------------------------------
 
     def _on_commit(self, record: CommitRecord) -> None:
+        """Commit hook for the :meth:`Core.step` path."""
+        self.on_commit(record.pc, record.priv, record.mem_ops, record.trap,
+                       record.inst.info.kind is OpKind.HALT)
+
+    def on_commit(self, pc: int, priv: Privilege, mem_ops: tuple,
+                  trap: bool, halt: bool) -> None:
+        """One committed instruction: its pc, the privilege it ran at,
+        its MAL entries, and whether it trapped or halted."""
         if not self.enabled:
             return
-        if (record.priv is not Privilege.USER or record.trap
-                or record.inst.info.kind is OpKind.HALT):
+        if priv is not Privilege.USER or trap or halt:
             # Kernel-mode commit, the user->kernel transition itself
             # (ecall / interrupt), or a halt: never part of a segment.
             # A checker core cannot replay any of these.
             if self._segment_open:
                 ecp = self.core.snapshot()
-                if record.trap or record.inst.info.kind is OpKind.HALT:
+                if trap or halt:
                     # The architectural point the user thread stopped at
                     # is the trapped/halted pc, not where the core went.
-                    ecp = type(ecp)(npc=record.pc, regs=ecp.regs,
-                                    csrs=ecp.csrs)
+                    ecp = type(ecp)(npc=pc, regs=ecp.regs, csrs=ecp.csrs)
                 self._close_segment(ecp, SegmentCloseReason.PRIV_SWITCH)
             return
         if not self._segment_open:
@@ -185,8 +237,8 @@ class MainCoreAdapter:
             return
         self._count += 1
         cycles = self.core.stats.cycles
-        if record.mem_ops:
-            for entry in record.mem_ops:
+        if mem_ops:
+            for entry in mem_ops:
                 self._stage(MemPacket(segment=self._segment_id,
                                       push_cycle=cycles,
                                       count=self._count,

@@ -2,20 +2,26 @@
 
 :class:`FlexStepSoC` builds the Table II platform (n cores, private
 L1s, shared L2) and co-simulates main cores, checker cores and plain
-compute cores by always advancing the core with the smallest local
-cycle count — a conservative event ordering that keeps per-core clocks
-comparable, so backpressure and detection latency are measured on one
-timeline.
+compute cores in min-clock order: the core with the smallest local
+cycle count runs until it passes the next core's clock.  This
+conservative event ordering keeps per-core clocks comparable, so
+backpressure and detection latency are measured on one timeline.
 
 Two interchangeable, bit-identical schedulers drive that arbitration:
 
 * ``loop`` — the oracle: every round rebuilds the candidate set and
-  min-scans it (O(cores) per round).
-* ``heap`` — the default: candidates live in a
-  :class:`~repro.sim.engine.EventQueue` keyed by local clock, the
-  horizon is the heap's next entry (top-2 after the pop), halted cores
-  and drained checkers leave the heap instead of being rescanned, and
-  checker drains are batched per horizon window.
+  min-scans it (O(cores) per round), and the chosen core stops at the
+  next candidate's clock.
+* ``heap`` — the default: main/compute cores and checkers keep their
+  next events in two :class:`~repro.sim.engine.EventQueue` heaps
+  keyed by local clock, halted cores and drained checkers leave the queues
+  instead of being rescanned, and checker drains are batched per
+  horizon window.  A main core also *runs ahead* of its checkers: past
+  the next event of any core it keeps committing, up to the next event
+  of another main or compute core, while its next instruction is
+  private (see :meth:`FlexStepSoC._advance_main`).  Checking is
+  asynchronous, so a main never needs its checkers' progress unless
+  its channel is full.
 
 Selection mirrors the sched-backend convention: an explicit argument
 (``FlexStepSoC.run(sched=...)`` / ``SoCConfig.soc_sched`` /
@@ -40,6 +46,7 @@ context switch exactly as Algorithm 1 does.
 from __future__ import annotations
 
 import enum
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -47,9 +54,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ..config import SoCConfig
 from ..core.cache import Cache, MemoryHierarchy
 from ..core.core import Core
+from ..core.decode import K_AMO, K_LOAD, K_LR, K_SC, K_STORE
 from ..core.memory import CachedPort, MainMemory
 from ..core.registers import CSR_MTVEC
 from ..errors import ConfigurationError, ExecutionLimitExceeded
+from ..isa.instructions import MASK64
 from ..isa.program import Program
 from ..runtime import knobs
 from ..sim.engine import Event, EventQueue
@@ -203,6 +212,7 @@ class FlexStepSoC:
             dram_latency=mem_cfg.dram_latency_cycles)
         self.cores: list[Core] = []
         self._l1is: list[Cache] = []
+        self._l1ds: list[Cache] = []
         for cid in range(self.config.num_cores):
             l1d = Cache(mem_cfg.l1d, name=f"l1d{cid}")
             l1i = Cache(mem_cfg.l1i, name=f"l1i{cid}")
@@ -211,6 +221,7 @@ class FlexStepSoC:
                         l1i=l1i, hierarchy=self.hierarchy)
             self.cores.append(core)
             self._l1is.append(l1i)
+            self._l1ds.append(l1d)
         self.interconnect = SystemInterconnect(
             self.config.num_cores, self.config.flexstep)
         self.attrs: list[CoreAttr] = (
@@ -407,18 +418,33 @@ class FlexStepSoC:
 
     def _run_heap(self, max_instructions: int,
                   max_cycles: Optional[int]) -> int:
-        """Event-driven arbitration on :class:`EventQueue`.
+        """Event-driven arbitration on two :class:`EventQueue` heaps.
 
-        Every candidate owns one heap event keyed ``(local clock,
-        rank)`` with rank = core id for main/compute cores and
-        ``num_cores + binding index`` for checkers — exactly the
-        oracle's canonical candidate order, so clock ties pop in the
+        Every candidate owns one event keyed ``(local clock, rank)``
+        with rank = core id for main/compute cores and ``num_cores +
+        binding index`` for checkers — exactly the oracle's canonical
+        candidate order.  Main/compute events and checker events live
+        in separate queues and each round pops the smaller head by
+        ``(clock, rank)``; ranks are unique, so clock ties pop in the
         same sequence the loop's min-scan would select.  A pop is one
-        arbitration round: the horizon is the heap's next live entry
-        (the top-2 of the pre-pop heap, maintained incrementally), the
-        candidate batch-advances to it, and is re-pushed at its new
-        clock.  Halted mains and terminally drained checkers simply
-        leave the heap instead of being rescanned every round.
+        arbitration round: the candidate advances and is re-pushed at
+        its new clock.  Halted mains and terminally drained checkers
+        simply leave the queues instead of being rescanned every round.
+
+        A popped core gets two bounds:
+
+        * the *sync horizon* — the next event of any core, the bound
+          the oracle uses;
+        * the *hard horizon* — the head of the mains queue, the next
+          event of any other main or compute core (O(1)).
+
+        Both are capped at ``max_cycles``.  A checker stops at the sync
+        horizon.  A main core may run on to the hard horizon while its
+        next instruction is private (:meth:`_advance_main`): nothing a
+        checker does before that instruction can change it, and it
+        changes nothing a checker can see earlier than it would in the
+        oracle, so the run is the oracle's in a different execution
+        order.
 
         Bookkeeping the oracle performs eagerly each round happens here
         at the equivalent sequence points, so the two schedulers are
@@ -440,14 +466,35 @@ class FlexStepSoC:
         interconnect = self.interconnect
         num_cores = self.config.num_cores
         batch = self.COSIM_BATCH
-        queue = EventQueue()
+        mains = EventQueue()
+        checks = EventQueue()
         events: dict[int, Event] = {}
         active = self._initial_active_mains()
-        checker_of_rank: dict[int, int] = {}
+        # rank -> (checker id, engine, its main's id); the wiring cannot
+        # change during a run
+        checker_of_rank: dict[int, tuple] = {}
+
+        # The live head event of each queue, kept in step with every
+        # pop and push; a cancelled head is re-peeked at the round start.
+        head_main: Optional[Event] = None
+        head_check: Optional[Event] = None
 
         def _push(cid: int, rank: int) -> None:
-            events[cid] = queue.push(cores[cid].stats.cycles, _noop,
-                                     priority=rank)
+            nonlocal head_main, head_check
+            time = cores[cid].stats.cycles
+            if rank < num_cores:
+                event = mains.push(time, _noop, priority=rank)
+                head = head_main
+                if head is None or time < head.time or (
+                        time == head.time and rank < head.priority):
+                    head_main = event
+            else:
+                event = checks.push(time, _noop, priority=rank)
+                head = head_check
+                if head is None or time < head.time or (
+                        time == head.time and rank < head.priority):
+                    head_check = event
+            events[cid] = event
 
         def _drop_event(cid: int) -> None:
             event = events.pop(cid, None)
@@ -457,7 +504,7 @@ class FlexStepSoC:
         def _discard_main(cid: int) -> None:
             """Oracle's ``active_mains.discard``: the main is done; its
             drained checkers (if nothing is stuck in the outbox) have
-            nothing left to wait for and leave the heap too."""
+            nothing left to wait for and leave the queues too."""
             active.discard(cid)
             _drop_event(cid)
             if not self._adapter_blocked(cid):
@@ -486,7 +533,8 @@ class FlexStepSoC:
         for index, (cid, engine) in enumerate(engines.items()):
             if engine.busy:
                 rank = num_cores + index
-                checker_of_rank[rank] = cid
+                checker_of_rank[rank] = (cid, engine,
+                                         interconnect.main_of(cid))
                 _push(cid, rank)
         # Seed main/compute cores through the oracle's first-round scan:
         # already-halted cores (a rerun) retire before anyone advances.
@@ -498,14 +546,19 @@ class FlexStepSoC:
             else:
                 _push(cid, cid)
 
-        queue_pop = queue.pop
-        peek_time = queue.peek_time
+        peek_main = mains.peek
+        peek_check = checks.peek
         events_pop = events.pop
         advance_main = self._advance_main
+
+        def _next_time() -> Optional[int]:
+            """The next event of any core."""
+            if head_check is not None and (
+                    head_main is None or head_check.time < head_main.time):
+                return head_check.time
+            return head_main.time if head_main is not None else None
+
         while True:
-            event = queue_pop()
-            if event is None:
-                break
             if zombies:
                 # one round has passed since these mains halted with a
                 # backpressured outbox; the oracle discards them now
@@ -513,7 +566,20 @@ class FlexStepSoC:
                     if cid in active:
                         _discard_main(cid)
                 zombies = []
-            rank = event.priority
+            if head_main is not None and head_main.cancelled:
+                head_main = peek_main()
+            if head_check is not None and head_check.cancelled:
+                head_check = peek_check()
+            # Main ranks sort below checker ranks, so a main wins ties.
+            if head_check is not None and (
+                    head_main is None or head_check.time < head_main.time):
+                rank = checks.pop().priority
+                head_check = peek_check()
+            elif head_main is not None:
+                rank = mains.pop().priority
+                head_main = peek_main()
+            else:
+                break
             if rank < num_cores:
                 cid = rank
                 events_pop(cid, None)
@@ -526,18 +592,27 @@ class FlexStepSoC:
                         _push(cid, cid)
                         zombies.append(cid)
                     continue
-                horizon = peek_time()
+                # the hard horizon: the next other main or compute core
+                hard = head_main.time if head_main is not None else None
+                horizon = hard
+                if head_check is not None and (
+                        horizon is None or head_check.time < horizon):
+                    horizon = head_check.time
                 if max_cycles is not None:
-                    horizon = max_cycles if horizon is None \
-                        else min(horizon, max_cycles)
+                    if horizon is None or horizon > max_cycles:
+                        horizon = max_cycles
+                    if hard is None or hard > max_cycles:
+                        hard = max_cycles
                 budget = min(batch, max_instructions - executed + 1)
-                executed += advance_main(cid, horizon, budget)
+                executed += advance_main(
+                    cid, horizon, budget,
+                    math.inf if hard is None else hard)
                 if executed > max_instructions:
                     raise ExecutionLimitExceeded(
                         f"SoC exceeded {max_instructions} instructions")
                 if max_cycles is not None \
                         and core.stats.cycles >= max_cycles:
-                    next_time = peek_time()
+                    next_time = _next_time()
                     if next_time is None or next_time >= max_cycles:
                         # the oracle stops before the post-halt scan
                         break
@@ -548,25 +623,27 @@ class FlexStepSoC:
                 else:
                     _push(cid, cid)
             else:
-                cid = checker_of_rank[rank]
+                cid, engine, main_id = checker_of_rank[rank]
                 events_pop(cid, None)
-                engine = engines[cid]
                 if not engine.busy:
                     continue
-                main_id = interconnect.main_of(cid)
                 main_done = main_id is None or (
                     main_id not in active
                     and not self._adapter_blocked(main_id))
                 if engine.drained and main_done:
                     continue
-                horizon = peek_time()
-                if max_cycles is not None:
-                    horizon = max_cycles if horizon is None \
-                        else min(horizon, max_cycles)
+                horizon = head_check.time if head_check is not None \
+                    else None
+                if head_main is not None and (
+                        horizon is None or head_main.time < horizon):
+                    horizon = head_main.time
+                if max_cycles is not None and (horizon is None
+                                               or horizon > max_cycles):
+                    horizon = max_cycles
                 engine.advance(horizon, batch)
                 if max_cycles is not None \
                         and engine.core.stats.cycles >= max_cycles:
-                    next_time = peek_time()
+                    next_time = _next_time()
                     if next_time is None or next_time >= max_cycles:
                         break
                 if not (engine.drained and main_done):
@@ -582,7 +659,8 @@ class FlexStepSoC:
         return self._advance_main(cid, None, 1)
 
     def _advance_main(self, cid: int, horizon: Optional[int],
-                      budget: int) -> int:
+                      budget: int,
+                      hard_horizon: Optional[float] = None) -> int:
         """Run a main/compute core for up to ``budget`` instructions.
 
         Stops at the cycle ``horizon`` (where another candidate becomes
@@ -590,6 +668,25 @@ class FlexStepSoC:
         blocked DBC charges one stall cycle only when nothing committed
         this round, exactly like the seed's per-instruction arbitration,
         and always yields so the checkers can drain.
+
+        *Run-ahead.*  Given a ``hard_horizon`` (the heap scheduler's
+        next event of any other main or compute core), a main core
+        keeps committing past ``horizon``, while below
+        ``hard_horizon``, as long as its next instruction is private
+        (:meth:`_next_is_private`): it touches no state a checker can
+        change.  The stop is exact.  Checkers never write memory or
+        touch a main core's caches, and their only link to the main is
+        the channel.  There a private step's packets all go out at
+        once, stamped with the main's clock, so a checker reads the same
+        visible prefix at every clock as in the oracle; its packets
+        also belong to an open segment, so no drained checker idles
+        along with the main meanwhile.  Every clock, stall, segment
+        result and fault record stays bit-identical.
+
+        Attached main cores commit through the record-free
+        :meth:`Core.commit_one` into :meth:`MainCoreAdapter.on_commit`;
+        the ``interp`` engine, interrupts and foreign commit hooks take
+        :meth:`Core.step` and its hooks instead.
         """
         core = self.cores[cid]
         adapter = self._adapters.get(cid)
@@ -598,6 +695,12 @@ class FlexStepSoC:
             # cannot interact with anything mid-round, so take the
             # record-free block-dispatch path.
             return core.advance(budget)
+        stats = core.stats
+        # the adapter's own hook is the only one a main core may carry
+        # on the record-free path
+        record_free = adapter is not None and core._use_kernels and (
+            len(core._hooks) == (1 if adapter.hooked else 0))
+        on_commit = adapter.on_commit if adapter is not None else None
         done = 0
         while done < budget:
             if adapter is not None and adapter.enabled:
@@ -605,8 +708,8 @@ class FlexStepSoC:
                     adapter.try_flush()
                     if adapter.blocked:
                         if done == 0:
-                            core.stats.cycles += 1
-                            core.stats.stall_cycles += 1
+                            stats.cycles += 1
+                            stats.stall_cycles += 1
                             adapter.stats.backpressure_stall_cycles += 1
                         break
                 adapter.before_step()
@@ -616,12 +719,50 @@ class FlexStepSoC:
                 # exec_one falls back to step() itself when hooks exist
                 core.exec_one()
             else:
-                core.step()
-                adapter.try_flush()
+                if record_free and core._pending_interrupt is None:
+                    core.commit_one(on_commit)
+                else:
+                    core.step()
+                if adapter.blocked:
+                    adapter.try_flush()
             done += 1
-            if horizon is not None and core.stats.cycles >= horizon:
+            if horizon is not None and stats.cycles >= horizon and (
+                    hard_horizon is None or stats.cycles >= hard_horizon
+                    or not self._next_is_private(cid, adapter)):
                 break
         return done
+
+    def _next_is_private(self, cid: int,
+                         adapter: Optional[MainCoreAdapter]) -> bool:
+        """Whether the main core's next step touches no state a checker
+        can change, nor any it can see before it would in the oracle.
+
+        The core is not halted and has no interrupt pending; its
+        adapter's next packets belong to a segment and all go out at
+        once (:meth:`MainCoreAdapter.can_run_ahead`); the fetch hits in
+        its L1I; and the instruction is not a memory op, or is a LOAD
+        or STORE whose address hits in its L1D.  A miss would reach
+        the L2, which checker fetches share.  LR, SC and AMO are never
+        private.
+        """
+        core = self.cores[cid]
+        if adapter is None or core.halted \
+                or core._pending_interrupt is not None \
+                or not adapter.can_run_ahead():
+            return False
+        pc = core.pc
+        if not self._l1is[cid].contains(pc):
+            return False
+        d = core.decoded()
+        off = pc - d.base
+        if off < 0 or off >= d.limit or off & 3:
+            return False
+        kind = d.kinds[off >> 2]
+        if kind == K_LOAD or kind == K_STORE:
+            inst = d.insts[off >> 2]
+            addr = (core.regs._regs[inst.rs1] + inst.imm) & MASK64
+            return self._l1ds[cid].contains(addr)
+        return kind != K_LR and kind != K_SC and kind != K_AMO
 
     # ------------------------------------------------------------------
     # results

@@ -100,12 +100,17 @@ class EventQueue:
                 return event
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without popping it."""
+    def peek(self) -> Optional[Event]:
+        """The next live event without popping it, or None if empty."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)[3]._queue = None
-        return heap[0][0] if heap else None
+        return heap[0][3] if heap else None
+
+    def peek_time(self) -> Optional[float]:
+        """Time of the next live event without popping it."""
+        event = self.peek()
+        return event.time if event is not None else None
 
     def _note_cancel(self) -> None:
         self._live -= 1

@@ -10,6 +10,18 @@ from repro.config import CoreConfig
 from repro.flexstep import FlexStepSoC
 from repro.isa import assemble
 
+try:
+    from hypothesis import settings
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    settings = None
+
+if settings is not None:
+    # A per-example wall-clock deadline fails property tests on a loaded
+    # host; no example is slow by design.  Example counts stay as each
+    # test sets them.
+    settings.register_profile("repro", deadline=None)
+    settings.load_profile("repro")
+
 
 SUM_LOOP_SRC = """
 .text

@@ -141,6 +141,29 @@ class TestChannel:
         ch.pop(10)
         assert ch.stats.max_occupancy == 2
 
+    def test_max_occupancy_is_simulated_time(self):
+        """A push made early in execution order but at a later clock
+        counts after the pops at earlier clocks."""
+        ch = Channel(0, 1, capacity_entries=8)
+        ch.push(MemPacket(segment=1, push_cycle=0))
+        ch.push(MemPacket(segment=1, push_cycle=0))
+        ch.push(MemPacket(segment=1, push_cycle=100))  # a main ran ahead
+        assert ch.stats.max_occupancy == 3             # not yet settled
+        ch.pop(10)
+        assert ch.stats.max_occupancy == 2
+        ch.pop(20)
+        ch.pop(120)
+        assert ch.stats.max_occupancy == 2
+
+    def test_max_occupancy_pops_before_pushes_at_equal_clocks(self):
+        ch = Channel(0, 1, capacity_entries=8)
+        ch.push(MemPacket(segment=1, push_cycle=0))
+        ch.push(MemPacket(segment=1, push_cycle=3), now=5)
+        ch.pop(5)
+        assert ch.stats.max_occupancy == 1
+        ch.pop(6)
+        assert ch.stats.max_occupancy == 1
+
 
 class TestInterconnect:
     def _ic(self, cores=4, **overrides):

@@ -6,7 +6,11 @@ oracle) and once under ``sched="heap"`` (the event-queue scheduler) —
 and asserts the complete observable outcome is bit-identical:
 ``SoCRunStats``, every core's final cycle count, each checker's
 ordered ``SegmentResult`` stream (including detect cycles and close
-reasons), checker counters, and fault-injection records.
+reasons), checker counters, channel stats, and fault-injection records.
+
+``TestRunAhead`` aims at the heap's main-core run-ahead: each case
+drives one of the conditions that must stop a main core at the sync
+horizon.
 """
 
 import os
@@ -14,8 +18,12 @@ import random
 
 import pytest
 
-from repro.config import SoCConfig
+from repro.analysis.latency import FIG7_DEFAULTS, _fig7_specs, _fig7_unit
+from repro.config import CacheConfig, MemoryConfig, SoCConfig
 from repro.errors import ConfigurationError
+from repro.isa import assemble
+from repro.scenarios.catalog import get_scenario
+from repro.workloads.profiles import get_profile
 from repro.flexstep.bench import (
     DEFAULT_GRID,
     build_point_soc,
@@ -156,6 +164,214 @@ class TestDetectionIdentity:
 
         fingerprint = assert_schedulers_identical(build)
         assert fingerprint[3] > 0  # some segments failed, identically
+
+
+#: One memory op per iteration, striding 64 KB through 1 MB: every
+#: access maps to the same L1D set and the same L2 set as the loop's
+#: own first code line, so it misses both, and a main core that ran
+#: ahead through it would evict that line before its checker's first
+#: fetch of it.
+STRIDE_SRC = """
+.text
+main:
+    li   x1, {n}
+    li   x13, 0x10000
+    li   x14, 0x110000
+    li   x10, 0x10000
+loop:
+    {op}
+    add  x10, x10, x13
+    bne  x10, x14, next
+    li   x10, 0x10000
+next:
+    addi x1, x1, -1
+    bne  x1, x0, loop
+    halt
+"""
+
+
+def ring_program(n, blocks=5):
+    """A loop through ``blocks`` code blocks 4 KB apart: with a 4-way
+    L1I and a 4-way, 64-set L2 every block shares one set of each, so
+    main and checker fetches miss both and contend for the L2 set."""
+    lines = [".text", "main:", f"    li   x1, {n}", "loop:",
+             "    addi x1, x1, -1", "    j    far1"]
+    count = 3
+    for k in range(1, blocks):
+        lines += ["    nop"] * (k * 1024 - count)
+        count = k * 1024
+        lines.append(f"far{k}:")
+        if k < blocks - 1:
+            lines.append(f"    j    far{k + 1}")
+            count += 1
+    lines += ["    bne  x1, x0, loop", "    halt"]
+    return assemble("\n".join(lines), name="ring")
+
+
+#: Two mains sharing a word: the producer counts it up with stores that
+#: hit its L1D, the consumer spins on it, so the consumer's instruction
+#: count depends on how the two interleave.
+PRODUCER_SRC = """
+.text
+main:
+    li   x1, {n}
+    li   x2, 0
+loop:
+    addi x2, x2, 1
+    sd   x2, 0x3000(x0)
+    addi x1, x1, -1
+    bne  x1, x0, loop
+    halt
+"""
+CONSUMER_SRC = """
+.text
+main:
+    li   x5, {n}
+    li   x4, 0
+spin:
+    ld   x3, 0x3000(x0)
+    addi x4, x4, 1
+    blt  x3, x5, spin
+    sd   x4, 0x3008(x0)
+    halt
+"""
+
+#: User code, one ecall, and a kernel-mode handler that halts: the run
+#: ends with no segment open while the checker is drained.
+ECALL_HALT_SRC = """
+.text
+main:
+    li   x1, {n}
+    li   x2, 0
+loop:
+    addi x2, x2, 3
+    sd   x2, 0x2000(x0)
+    addi x1, x1, -1
+    bne  x1, x0, loop
+    ecall
+    halt
+_trap_handler:
+    li   x5, {k}
+spin:
+    addi x5, x5, -1
+    bne  x5, x0, spin
+    halt
+"""
+
+
+def verified(program, *, checkers=1, **flex_overrides):
+    return lambda: (make_verified_soc(program, checkers=checkers,
+                                      **flex_overrides), ())
+
+
+class TestRunAhead:
+    @pytest.mark.parametrize("fifo_entries", [12, 24, 40])
+    def test_tiny_fifo_without_spill(self, fifo_entries):
+        """Channels too small for a whole step's packets, or only
+        sometimes large enough: the slack guard stops run-ahead."""
+        fingerprint = assert_schedulers_identical(verified(
+            make_sum_program(n=1_500), fifo_entries=fifo_entries))
+        assert fingerprint[3] == 0
+
+    @pytest.mark.parametrize("op", ["ld   x3, 0(x10)", "sd   x1, 0(x10)",
+                                    "amoadd x3, x1, (x10)",
+                                    "lr   x3, (x10)"])
+    def test_strided_memory_ops_miss_l1d(self, op):
+        program = assemble(STRIDE_SRC.format(n=300, op=op), name="stride")
+        assert_schedulers_identical(verified(program))
+
+    def test_fetch_misses_contend_in_a_small_l2(self):
+        config = SoCConfig(num_cores=2, memory=MemoryConfig(
+            l2=CacheConfig(size_bytes=16 * 1024, ways=4,
+                           latency_cycles=40, mshrs=8)))
+        program = ring_program(200)
+
+        def build():
+            soc = FlexStepSoC(config)
+            soc.load_program(0, program)
+            soc.cores[1].load_program(program)
+            soc.setup_verification(0, [1])
+            return soc, ()
+
+        assert_schedulers_identical(build)
+
+    def test_mains_share_memory(self):
+        """A main never runs past another main's clock."""
+        producer = assemble(PRODUCER_SRC.format(n=3_000), name="producer")
+        consumer = assemble(CONSUMER_SRC.format(n=3_000), name="consumer")
+
+        def build():
+            soc = FlexStepSoC(SoCConfig(num_cores=4))
+            soc.control.configure([0, 2], [1, 3])
+            for main, program in ((0, producer), (2, consumer)):
+                soc.load_program(main, program)
+                soc.cores[main + 1].load_program(program)
+                soc.control.associate(main, [main + 1])
+                soc.control.check_enable(main)
+                soc.control.check_state(main + 1, busy=True)
+            return soc, ()
+
+        assert_schedulers_identical(build)
+
+    def test_ecall_then_kernel_halt_without_segment(self):
+        program = assemble(ECALL_HALT_SRC.format(n=300, k=400),
+                           name="ecall-halt")
+        assert_schedulers_identical(verified(program))
+
+    def test_triple_checker_mode(self):
+        assert_schedulers_identical(verified(make_sum_program(n=2_000),
+                                             checkers=2))
+
+    @pytest.mark.parametrize("pairs", [2, 3, 4])
+    def test_pairs_on_one_die(self, pairs):
+        point = grid_point(pairs, 1, workload="blackscholes")
+        fingerprint = assert_schedulers_identical(
+            lambda: build_point_soc(point))
+        assert fingerprint[5]
+
+    @pytest.mark.parametrize("max_cycles", [3_000, 40_000])
+    def test_max_cycles(self, max_cycles):
+        assert_schedulers_identical(verified(make_sum_program(n=5_000)),
+                                    max_cycles=max_cycles)
+
+    @pytest.mark.parametrize("side,checkers", [("checker", 1),
+                                               ("main", 2)])
+    def test_faults(self, side, checkers):
+        def build():
+            soc = make_verified_soc(make_sum_program(n=2_000),
+                                    checkers=checkers)
+            injector = install_injector(
+                soc, 0, side=side, target=FaultTarget.ANY,
+                segment_interval=1, rng=random.Random(5))
+            return soc, [injector]
+
+        fingerprint = assert_schedulers_identical(build)
+        assert fingerprint[3] > 0
+
+    def test_fig7_unit_rounds_fall_fivefold(self, monkeypatch):
+        """On a fig7-latency unit the heap needs at least 5x fewer main
+        rounds than the loop, with the same unit payload."""
+        scenario = get_scenario("fig7-latency")
+        spec = _fig7_specs(
+            get_profile(scenario.workloads[0]),
+            **{**FIG7_DEFAULTS,
+               "target_instructions": scenario.target_instructions})[0]
+        rounds = [0]
+        advance_main = FlexStepSoC._advance_main
+
+        def counted(self, *args, **kwargs):
+            rounds[0] += 1
+            return advance_main(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlexStepSoC, "_advance_main", counted)
+        payloads, counts = {}, {}
+        for sched in SCHEDS:
+            rounds[0] = 0
+            with soc_sched_override(sched):
+                payloads[sched] = _fig7_unit(spec, 0)
+            counts[sched] = rounds[0]
+        assert payloads["loop"] == payloads["heap"]
+        assert counts["loop"] >= 5 * counts["heap"], counts
 
 
 class TestSchedulerSelection:
