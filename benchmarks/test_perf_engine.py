@@ -1,9 +1,9 @@
 """Execution-engine throughput bench (the repo's perf trajectory seed).
 
 Measures instructions/second of every registered engine tier (interp,
-decoded, compiled) over the default workload mix, asserts the ≥5×
-decoded-over-interp target and the compiled-over-decoded target, and
-checks the record appends to a trajectory file.  The test writes to a
+decoded) over the default workload mix, asserts the ≥5×
+decoded-over-interp target, and checks the record appends to a
+trajectory file.  The test writes to a
 temporary file; ``scripts/bench.py`` appends to the committed
 ``BENCH_engine.json`` (see EXPERIMENTS.md).
 
@@ -17,7 +17,6 @@ import pytest
 from repro.perfbench import (
     append_record,
     format_record,
-    min_compiled_speedup_threshold,
     min_speedup_threshold,
     run_engine_benchmark,
 )
@@ -42,21 +41,6 @@ def test_engine_speedup_target(engine_record):
         f"below the {threshold}x target")
     # No individual workload may fall off a cliff either.
     assert engine_record["speedup_min"] >= threshold * 0.6
-
-
-def test_compiled_speedup_target(engine_record):
-    """The compiled tier must hold its geomean over decoded dispatch.
-
-    Override the threshold with ``REPRO_BENCH_MIN_COMPILED_SPEEDUP``
-    (see EXPERIMENTS.md for why the default is not the 10× aspiration).
-    """
-    assert "compiled" in engine_record["engines"]
-    threshold = min_compiled_speedup_threshold()
-    geomean = engine_record["compiled_over_decoded_geomean"]
-    assert geomean >= threshold, (
-        f"compiled-tier speedup {geomean}x over decoded below the "
-        f"{threshold}x target")
-    assert engine_record["compiled_over_decoded_min"] >= threshold * 0.6
 
 
 def test_engine_record_appended(engine_record, tmp_path):

@@ -290,8 +290,8 @@ def main(argv: "list[str] | None" = None) -> int:
                      choices=CORE_ENGINE_CHOICES,
                      help="core execution engine tier "
                           "(default REPRO_CORE_ENGINE or auto = decoded; "
-                          "'compiled' traces hot blocks into generated "
-                          "Python; results are engine-invariant)")
+                          "'interp' is the reference interpreter; "
+                          "results are engine-invariant)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's built-in seed")
     run.add_argument("--no-cache", action="store_true",

@@ -26,7 +26,6 @@ BENCHES: tuple[str, ...] = (
 #: first entry is the metric regressions are flagged on.
 BENCH_METRICS: dict[str, tuple[tuple[str, str], ...]] = {
     "engine": (("speedup_geomean", "dec/int"),
-               ("compiled_over_decoded_geomean", "cmp/dec"),
                ("decoded_ips_geomean", "decoded ips")),
     "campaign": (("speedup", "speedup"),
                  ("replay_speedup", "replay"),

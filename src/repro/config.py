@@ -34,12 +34,10 @@ SOC_SCHED_CHOICES: tuple[str, ...] = ("auto", "loop", "heap")
 #: Execution-engine tiers accepted by :class:`CoreConfig` and the
 #: ``REPRO_CORE_ENGINE`` environment variable (``auto`` defers to the
 #: env var, then ``decoded``).  ``interp`` is the seed reference
-#: interpreter, ``decoded`` the kernel-dispatch engine and ``compiled``
-#: the code-generating trace tier (:mod:`repro.core.compile`).  All
-#: three are bit-identical, so — like ``soc_sched`` — the knob is
-#: excluded from campaign identity; see :func:`soc_config_to_dict`.
-CORE_ENGINE_CHOICES: tuple[str, ...] = (
-    "auto", "interp", "decoded", "compiled")
+#: interpreter and ``decoded`` the kernel-dispatch engine.  The two are
+#: bit-identical, so — like ``soc_sched`` — the knob is excluded from
+#: campaign identity; see :func:`soc_config_to_dict`.
+CORE_ENGINE_CHOICES: tuple[str, ...] = ("auto", "interp", "decoded")
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class CoreConfig:
     mul_latency_cycles: int = 3
     div_latency_cycles: int = 16
     #: Execution engine: ``auto`` defers to ``REPRO_CORE_ENGINE`` (then
-    #: ``decoded``); ``interp``/``decoded``/``compiled`` pin a tier.  An
+    #: ``decoded``); ``interp``/``decoded`` pin a tier.  An
     #: execution knob — never part of experiment identity.
     engine: str = "auto"
 

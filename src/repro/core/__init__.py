@@ -20,7 +20,6 @@ from .registers import (
 from .cache import Cache, MemoryHierarchy
 from .memory import MainMemory, MemoryPort, DirectPort, CachedPort
 from .branch import BranchPredictor
-from .compile import CompiledProgram, compiled_table
 from .core import (
     CommitRecord,
     Core,
@@ -53,8 +52,6 @@ __all__ = [
     "CommitRecord",
     "CoreStats",
     "MemEntry",
-    "CompiledProgram",
-    "compiled_table",
     "engine_override",
     "resolve_engine",
     "DecodedProgram",

@@ -9,7 +9,7 @@ functional units into each core").
 
 Execution engines
 -----------------
-The core dispatches through one of three bit-identical engines:
+The core dispatches through one of two bit-identical engines:
 
 ``interp``
     The seed string-keyed interpreter, kept verbatim as the executable
@@ -28,16 +28,6 @@ The core dispatches through one of three bit-identical engines:
     :meth:`commit_one` is the record-free path for main cores under
     verification: it hands the commit's fields to the FlexStep
     adapter instead of building a :class:`CommitRecord`.
-
-``compiled``
-    The code-generating trace tier (:mod:`repro.core.compile`): hot
-    entry points are translated into specialized Python functions with
-    register indices, immediates and timing constants inlined as
-    literals, used by the batched :meth:`advance` loop when the L1I
-    timing path is off.  :meth:`step` and :meth:`exec_one` behave
-    exactly as under ``decoded`` (they are per-instruction by nature),
-    and guarded bail-outs preserve the uncommitted-instruction
-    contract on every trap.
 
 Select with ``Core(..., engine=...)``, a pinned ``CoreConfig.engine``,
 or the ``REPRO_CORE_ENGINE`` environment variable — see
@@ -68,7 +58,6 @@ from ..isa.instructions import (
 from ..isa.program import Program
 from .branch import BranchPredictor
 from .cache import Cache, MemoryHierarchy
-from .compile import CompiledProgram, compiled_table
 from .decode import DecodedProgram, decode_program
 from ..runtime import knobs
 from .memory import MemoryPort
@@ -238,10 +227,9 @@ class Core:
         Optional instruction-fetch timing path; when omitted, fetches
         are free (functional-only runs).
     engine:
-        ``"interp"`` (seed reference interpreter), ``"decoded"``
-        (default) or ``"compiled"`` (trace codegen); ``None`` defers to
-        ``config.engine`` and then the ``REPRO_CORE_ENGINE`` env var —
-        see :func:`resolve_engine`.
+        ``"interp"`` (seed reference interpreter) or ``"decoded"``
+        (default); ``None`` defers to ``config.engine`` and then the
+        ``REPRO_CORE_ENGINE`` env var — see :func:`resolve_engine`.
     """
 
     def __init__(self, core_id: int, config: CoreConfig, port: MemoryPort,
@@ -266,9 +254,7 @@ class Core:
         self._hooks: list[CommitHook] = []
         self.engine = resolve_engine(engine, config)
         self._use_kernels = self.engine != "interp"
-        self._use_compiled = self.engine == "compiled"
         self._decoded: Optional[DecodedProgram] = None
-        self._compiled: Optional[CompiledProgram] = None
         # Kernel scratch (see repro.core.decode kernel contract).
         self._record_mem = True
         self._mem_scratch: tuple = ()
@@ -286,7 +272,6 @@ class Core:
         self.pc = entry if entry is not None else program.entry
         self.halted = False
         self._decoded = None
-        self._compiled = None
 
     def add_commit_hook(self, hook: CommitHook) -> None:
         self._hooks.append(hook)
@@ -532,18 +517,6 @@ class Core:
             fetch = hierarchy.fetch_access
         blocks = d.blocks
         block_lens = d.block_lens
-        # Trace dispatch needs block-granular commits, so it only runs
-        # when the per-instruction I-fetch timing model is off; the
-        # decoded tables remain the fallback for cold/trivial slots and
-        # for traces that might overrun the remaining budget.
-        use_compiled = self._use_compiled and not use_l1i
-        if use_compiled:
-            table = self._compiled
-            if table is None or table.decoded is not d:
-                table = compiled_table(self.program, self.config)
-                self._compiled = table
-            traces = table.traces
-            trace_lens = table.trace_lens
         cycles = 0
         user = 0
         in_user = False
@@ -562,9 +535,6 @@ class Core:
                     # needs each pc, so blocks cannot be fused.
                     take = 1
                     c = fetch(l1i, pc) + kernels[idx](self)
-                elif use_compiled and traces[idx] is not None \
-                        and trace_lens[idx] <= n - executed:
-                    take, c = traces[idx](self)
                 else:
                     take = block_lens[idx]
                     if take > n - executed:

@@ -36,14 +36,12 @@ Decoded tables are cached on ``program.decode_cache`` keyed by the
 timing parameters they bake in, so main, checker and lockstep-shadow
 cores sharing one program decode it once.
 
-This is the middle of three engine tiers
-(``REPRO_CORE_ENGINE=interp|decoded|compiled``): the seed interpreter
-stays the executable reference, and :mod:`repro.core.compile` builds on
-these kernels — generated trace functions dispatch on the batched fast
-path and bail out to the decoded kernels on any exception, so this
-module's commit semantics remain the contract all tiers share.  Single
-kernels here are also what ``exec_one``/``peek_kind_code`` step through,
-which is why checker replay is tier-invariant.
+This is the fast one of two engine tiers
+(``REPRO_CORE_ENGINE=interp|decoded``): the seed interpreter stays the
+executable reference, and this module's commit semantics must match it
+bit for bit.  Single kernels here are also what
+``exec_one``/``peek_kind_code`` step through, which is why checker
+replay is tier-invariant.
 """
 
 from __future__ import annotations

@@ -32,11 +32,11 @@ and every later event land where one-cycle ticks would put them.
 
 Replay steps one instruction at a time (``peek_kind_code`` +
 ``exec_one``), so the checker itself never batches through an
-execution-engine tier; main cores may run under any
-``REPRO_CORE_ENGINE`` tier (``interp``/``decoded``/``compiled``) and
-produce bit-identical commit streams, MAL entries and checkpoints —
-the three-way differential suite replays injected faults under every
-tier to prove detection results are engine-invariant.
+execution-engine tier; main cores may run under either
+``REPRO_CORE_ENGINE`` tier (``interp``/``decoded``) and produce
+bit-identical commit streams, MAL entries and checkpoints — the
+differential suite replays injected faults under both tiers to prove
+detection results are engine-invariant.
 """
 
 from __future__ import annotations

@@ -32,11 +32,10 @@ and the always-on gate of ``scripts/bench.py --bench soc``), the choice
 is an execution knob, never part of experiment identity: campaign
 spawn seeds and result-cache digests exclude it.  The same contract
 holds for the per-core execution engine tier
-(``REPRO_CORE_ENGINE=interp|decoded|compiled``, see
-:mod:`repro.core.compile`): main cores, checkers and compute cores
-commit identical streams under any tier — the three-way differential
-suite proves it — so engine selection is likewise excluded from spawn
-seeds and cache digests.
+(``REPRO_CORE_ENGINE=interp|decoded``, see :mod:`repro.core.core`):
+main cores, checkers and compute cores commit identical streams under
+either tier — the differential suite proves it — so engine selection
+is likewise excluded from spawn seeds and cache digests.
 
 :class:`FlexStepControl` is the software-visible face of the custom ISA
 (paper Table I).  The OS layer (:mod:`repro.kernel`) calls it from the

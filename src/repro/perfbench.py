@@ -2,8 +2,7 @@
 
 Measures instructions/second of every registered execution engine tier
 (:data:`repro.core.core._ENGINES` — today the seed string-keyed
-interpreter ``interp``, the decoded-dispatch engine ``decoded``, and
-the trace-compiling ``compiled`` tier from :mod:`repro.core.compile`)
+interpreter ``interp`` and the decoded-dispatch engine ``decoded``)
 over the synthetic workload mix, and records the trajectory in
 ``BENCH_engine.json`` so every future PR can report its speedup
 against the same baseline.  New tiers are benched automatically: the
@@ -14,10 +13,10 @@ Each measurement runs one workload program to completion on a bare core
 targets are defined against), checks that all engines finish in
 bit-identical architectural state, and reports the best of ``repeats``
 timings.  One untimed warmup run per engine precedes the timed
-repeats, so one-time costs (decode, trace planning + ``compile()`` of
-the hot set) are excluded the same way ``decode_seconds`` is reported
-separately — matching production use where a program is decoded and
-compiled once and executed for millions of instructions.
+repeats, so one-time costs (decode) are excluded the same way
+``decode_seconds`` is reported separately — matching production use
+where a program is decoded once and executed for millions of
+instructions.
 
 Environment knobs (all optional):
 
@@ -26,7 +25,6 @@ Environment knobs (all optional):
 ``REPRO_BENCH_ENGINE_REPEATS``          timing repeats per engine
 ``REPRO_BENCH_ENGINE_WORKLOADS``        comma-separated workload names
 ``REPRO_BENCH_MIN_SPEEDUP``             decoded/interp gate threshold
-``REPRO_BENCH_MIN_COMPILED_SPEEDUP``    compiled/decoded gate threshold
 ======================================  ===============================
 """
 
@@ -77,20 +75,6 @@ def default_workloads() -> tuple[str, ...]:
 
 def min_speedup_threshold(default: float = 5.0) -> float:
     found = knobs.resolve("bench_min_speedup")
-    return default if found.source == "default" else found.value
-
-
-def min_compiled_speedup_threshold(default: float = 3.5) -> float:
-    """compiled/decoded geomean gate (strict mode).
-
-    The ISSUE target is 10×, but a pure-CPython floor experiment
-    (EXPERIMENTS.md, "Why the compiled gate is not 10×") shows that a
-    trace stripped of *all* simulation fidelity already runs at only
-    ~8× decoded on CPython 3.11, so the fidelity-preserving default
-    gates at 3.5× (measured geomean ≈5×, with generous headroom for
-    noisy CI hosts).  Override with ``REPRO_BENCH_MIN_COMPILED_SPEEDUP``.
-    """
-    found = knobs.resolve("bench_min_compiled_speedup")
     return default if found.source == "default" else found.value
 
 
@@ -181,9 +165,6 @@ def measure_workload(name: str, *, target_instructions: int | None = None,
     decoded_ips = row.get("decoded_ips", 0.0)
     row["speedup"] = round(decoded_ips / interp_ips, 3) if interp_ips \
         else 0.0
-    if "compiled_ips" in row:
-        row["compiled_over_decoded"] = round(
-            row["compiled_ips"] / decoded_ips, 3) if decoded_ips else 0.0
     return row
 
 
@@ -221,22 +202,14 @@ def run_engine_benchmark(workloads: Sequence[str] | None = None, *,
         if all(key in r for r in rows):
             record[f"{key}_geomean"] = round(
                 _geomean(r[key] for r in rows), 1)
-    if all("compiled_over_decoded" in r for r in rows):
-        record["compiled_over_decoded_geomean"] = round(
-            _geomean(r["compiled_over_decoded"] for r in rows), 3)
-        record["compiled_over_decoded_min"] = round(
-            min(r["compiled_over_decoded"] for r in rows), 3)
     return record
 
 
 def format_record(record: dict) -> str:
     """Human-readable table for one benchmark record."""
     engines = record.get("engines") or ["interp", "decoded"]
-    has_compiled = "compiled" in engines
     header = f"{'workload':<14s}" + "".join(
         f" {e:>12s}" for e in engines) + f" {'dec/int':>9s}"
-    if has_compiled:
-        header += f" {'cmp/dec':>9s}"
     lines = [
         "Engine throughput: " + " vs ".join(engines),
         header,
@@ -247,8 +220,6 @@ def format_record(record: dict) -> str:
         cells = "".join(
             f" {row[f'{e}_ips{suffix}']:>10.0f}/s" for e in engines)
         cells += f" {row['speedup' + suffix]:>8.2f}x"
-        if has_compiled:
-            cells += f" {row['compiled_over_decoded' + suffix]:>8.2f}x"
         return cells
 
     for row in record["workloads"]:
@@ -256,9 +227,6 @@ def format_record(record: dict) -> str:
     geo_row = {f"{e}_ips_geomean": record[f"{e}_ips_geomean"]
                for e in engines}
     geo_row["speedup_geomean"] = record["speedup_geomean"]
-    if has_compiled:
-        geo_row["compiled_over_decoded_geomean"] = \
-            record["compiled_over_decoded_geomean"]
     lines.append(f"{'geomean':<14s}" + fmt(geo_row, geo=True))
     return "\n".join(lines)
 

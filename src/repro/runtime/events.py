@@ -24,7 +24,9 @@ Design constraints, in order:
   process appends with its own file handle.  Writes are single
   ``write()`` calls of one ``\\n``-terminated line (atomic for sane
   line lengths on POSIX), so concurrent writers interleave whole
-  events, never fragments.
+  events, never fragments.  A forked child starts with fresh module
+  locks and no subscribers (:func:`_reset_after_fork`), so a lock
+  another thread held at fork time cannot hang the child's first emit.
 
 Besides the file sink, in-process consumers can :func:`subscribe` a
 callback and receive every validated event record as a dict, in the
@@ -227,6 +229,25 @@ def unsubscribe(token: int) -> None:
     """Remove one subscriber (unknown tokens are ignored)."""
     with _subscriber_lock:
         _subscribers.pop(token, None)
+
+
+def _reset_after_fork() -> None:
+    """Give a forked child fresh locks and no subscribers.
+
+    ``fork`` copies a lock in whatever state another thread left it,
+    and that thread does not exist in the child, so a held ``_lock`` or
+    ``_subscriber_lock`` would block the child's first emit forever.
+    Subscribers are dropped because they belong to the parent: the
+    daemon's router would otherwise update a copied job table.
+    """
+    global _lock, _subscriber_lock
+    _lock = threading.Lock()
+    _subscriber_lock = threading.Lock()
+    _subscribers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def emit(event: str, /, **fields: Any) -> None:

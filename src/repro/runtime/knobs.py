@@ -308,17 +308,22 @@ def _json_safe(value: Any) -> Any:
 
 
 def check_env(environ: Optional[Mapping[str, str]] = None) -> None:
-    """Fail loudly on unrecognised ``REPRO_*`` environment names.
+    """Fail loudly on unrecognised ``REPRO_*`` names or bad values.
 
     A misspelled knob (``REPRO_WORKRES=8``) used to be silently
     ignored — the classic config-drift failure.  Raises
     :class:`~repro.errors.ConfigurationError` naming the stray
-    variable and the closest registered knob.
+    variable and the closest registered knob.  A registered knob's
+    value is parsed too, so a stale one (``REPRO_CORE_ENGINE=compiled``)
+    fails here rather than inside every campaign unit.
     """
     env = environ if environ is not None else os.environ
     known = set(_BY_ENV)
     for key in sorted(env):
-        if not key.startswith(ENV_PREFIX) or key in known:
+        if not key.startswith(ENV_PREFIX):
+            continue
+        if key in known:
+            resolve(_BY_ENV[key].name, environ=env)
             continue
         near = difflib.get_close_matches(key, known, n=1)
         hint = f"; did you mean {near[0]}?" if near else ""
@@ -575,16 +580,9 @@ _register(Knob(
 _register(Knob(
     name="core_engine", env="REPRO_CORE_ENGINE", type="choice",
     choices=CORE_ENGINE_CHOICES, skip=("auto",), default="decoded",
-    scope="execution", cli="--engine", examples=("interp", "compiled"),
+    scope="execution", cli="--engine", examples=("interp", "decoded"),
     help="core execution-engine tier (auto = decoded; results are "
          "engine-invariant)"))
-
-_register(Knob(
-    name="core_compile_warmup", env="REPRO_CORE_COMPILE_WARMUP",
-    type="int", default=2, scope="execution", validator=_at_least(0),
-    examples=("0", "3"),
-    help="entry-point dispatch count before the compiled tier traces "
-         "a block (default 2)"))
 
 # -- service daemon (`repro serve`) -----------------------------------------
 
@@ -675,13 +673,6 @@ _register(Knob(
     name="bench_min_speedup", env="REPRO_BENCH_MIN_SPEEDUP",
     type="float", default=5.0, scope="execution", examples=("2", "3"),
     help="decoded/interp geomean gate threshold (default 5.0)"))
-
-_register(Knob(
-    name="bench_min_compiled_speedup",
-    env="REPRO_BENCH_MIN_COMPILED_SPEEDUP", type="float", default=3.5,
-    scope="execution", examples=("2", "3"),
-    help="compiled/decoded geomean gate threshold (default 3.5; see "
-         "EXPERIMENTS.md 'Why the compiled gate is not 10x')"))
 
 _register(Knob(
     name="bench_campaign_sets", env="REPRO_BENCH_CAMPAIGN_SETS",

@@ -77,7 +77,7 @@ class TestAdvance:
 
     def test_run_watchdog_parity(self):
         prog = assemble("loop:\nj loop")
-        for engine in ("interp", "decoded", "compiled"):
+        for engine in ("interp", "decoded"):
             core, _ = _core(prog, engine=engine)
             with pytest.raises(ExecutionLimitExceeded):
                 core.run(max_instructions=100)
@@ -121,7 +121,7 @@ class TestAdvance:
 
     def test_runaway_pc_raises_canonical_error(self):
         prog = assemble("nop\nnop")        # no halt: falls off the end
-        for engine in ("interp", "decoded", "compiled"):
+        for engine in ("interp", "decoded"):
             core, _ = _core(prog, engine=engine)
             with pytest.raises(IsaError, match="outside program"):
                 core.run(100)
@@ -158,7 +158,7 @@ class TestMidBlockExceptions:
             csrrw x2, 0x340, x1
             halt
         """)
-        for engine in ("interp", "decoded", "compiled"):
+        for engine in ("interp", "decoded"):
             core, _ = _core(prog, engine=engine)
             with pytest.raises(PrivilegeError):
                 core.run(100)
@@ -203,7 +203,7 @@ class TestExecOne:
             Core(0, CoreConfig(), DirectPort(MainMemory()),
                  engine="turbo")
         # The error names every valid tier so typos are self-repairing.
-        for name in ("interp", "decoded", "compiled"):
+        for name in ("interp", "decoded"):
             assert name in str(exc.value)
 
     def test_unknown_engine_env_rejected(self, monkeypatch):

@@ -8,16 +8,16 @@ non-reference tier is compared to the ``interp`` seed reference twice:
 
 * ``step()`` — single-step with CommitRecords (hooks),
 * ``run()``  — the record-free batched fast path (the only path where
-  the ``compiled`` tier dispatches generated trace functions).
+  the ``decoded`` tier dispatches fused basic-block kernels).
 
 The suite also proves engine invariance where it matters to the paper:
 full checker-replay fault campaigns (checker-side, main-side and burst
 faults) produce identical detection payloads under every tier, the
 ``exec_one``/``peek_kind_code`` single-step surface the checkers replay
-through is tier-independent, and the compiled tier's guarded bail-out
-honours the uncommitted-instruction contract when a trace faults
-mid-flight (memory faults in straight lines, diamond gaps, stores and
-out-of-range accesses, plus privilege traps).
+through is tier-independent, and a block kernel that faults mid-block
+honours the uncommitted-instruction contract (memory faults in straight
+lines, after a taken branch, in stores and out-of-range accesses, plus
+privilege traps).
 """
 
 import random
@@ -27,7 +27,6 @@ import pytest
 from repro.config import CoreConfig
 from repro.core import CSR_MTVEC, Core, DirectPort, MainMemory
 from repro.core import engine_override
-from repro.core.compile import compiled_table
 from repro.core.core import _ENGINES
 from repro.isa import assemble
 from repro.isa.instructions import OPS, Instruction, OpKind
@@ -43,19 +42,6 @@ _MEM_WORDS = 64
 
 #: The tiers compared against the ``interp`` reference.
 _ALT_ENGINES = tuple(e for e in _ENGINES if e != "interp")
-
-
-@pytest.fixture(autouse=True)
-def _eager_traces(monkeypatch):
-    """Drop the compiled tier's warmup to zero for every test here.
-
-    Differential programs mostly run each block once; with the
-    production warmup threshold the compiled tier would fall back to
-    decoded kernels and the comparison would prove nothing.  Warmup 0
-    materializes a trace on its first dispatch, so even single-pass
-    code executes through generated trace functions.
-    """
-    monkeypatch.setenv("REPRO_CORE_COMPILE_WARMUP", "0")
 
 
 def _random_program(seed: int, length: int = 400) -> Program:
@@ -197,7 +183,7 @@ def test_random_programs_bit_identical(seed):
         assert counters == ref_counters, engine
         assert mem == ref_mem, engine
         # The record-free batched path must land in the same state;
-        # for "compiled" this is the path that dispatches traces.
+        # for "decoded" this is the path that dispatches block kernels.
         fast_snap, _, fast_counters, fast_mem = _execute(
             program, engine, via="run")
         assert fast_snap.diff(ref_snap) == [], engine
@@ -309,17 +295,16 @@ def test_exec_one_and_peek_match_interp(engine):
 
 
 # ---------------------------------------------------------------------------
-# compiled guard paths — the uncommitted-instruction contract
+# decoded guard paths — the uncommitted-instruction contract
 # ---------------------------------------------------------------------------
 
-#: Programs whose traces fault mid-flight.  Each exercises a distinct
-#: bail-out site class in the generated code: a slow-arm load after ALU
-#: work dirtied register locals, a fault inside a forward-branch
-#: diamond's gap arm, a store fault after a committed fast-path store,
-#: an out-of-range access (address past the memory size), and a
-#: privilege trap from user mode.
+#: Programs whose fused block kernels fault mid-block.  Each exercises a
+#: distinct settle path of ``Core._block_scratch``: a load fault after
+#: ALU work in the same block, a fault in the block after a forward
+#: branch, a store fault after a committed store, an out-of-range access
+#: (address past the memory size), and a privilege trap from user mode.
 _GUARD_CASES = {
-    "mid_trace_fault": """
+    "mid_block_fault": """
         li x1, 100
         addi x2, x1, 23
         xor x3, x2, x1
@@ -359,21 +344,11 @@ _GUARD_CASES = {
 }
 
 
-def _run_to_fault(prog, engine: str, *, eager: bool = False):
-    """Run until the program faults; return the error + full state.
-
-    ``eager=True`` force-compiles a trace for every entry first, so the
-    fault is guaranteed to cross a generated trace frame rather than a
-    lazy activation stub's decoded fallback.
-    """
-    cfg = CoreConfig()
-    if eager:
-        table = compiled_table(prog, cfg)
-        for i in range(len(prog.instructions)):
-            table.compile_entry(i)
+def _run_to_fault(prog, engine: str):
+    """Run until the program faults; return the error + full state."""
     memory = MainMemory()
     memory.load_segment(prog.data.words)
-    core = Core(0, cfg, DirectPort(memory), engine=engine)
+    core = Core(0, CoreConfig(), DirectPort(memory), engine=engine)
     core.load_program(prog)
     err = None
     try:
@@ -389,34 +364,29 @@ def _run_to_fault(prog, engine: str, *, eager: bool = False):
 
 
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
-def test_compiled_guard_paths_bit_identical(case):
-    """A fault inside a trace bails out to the exact interp state.
+def test_decoded_guard_paths_bit_identical(case):
+    """A fault inside a block kernel settles to the exact interp state.
 
-    Lazy first (activation stubs still cold), then eager (every entry
-    force-compiled): both must reproduce the interpreter's error,
+    The batched ``run()`` path must reproduce the interpreter's error,
     architectural state, pc, counters, predictor stats and memory.
     """
     prog = assemble(_GUARD_CASES[case])
     ref = _run_to_fault(prog, "interp")
     assert ref[0] is not None, "case must actually fault"
-    assert _run_to_fault(prog, "compiled") == ref
-    assert _run_to_fault(prog, "compiled", eager=True) == ref
+    assert _run_to_fault(prog, "decoded") == ref
 
 
-def test_compiled_mid_trace_fault_contract():
+def test_decoded_mid_block_fault_contract():
     """The uncommitted-instruction contract, spelled out.
 
-    A trap mid-trace must settle exactly the committed prefix: the
-    faulting load is not retired, pc sits on the faulting slot, dirty
-    register locals are flushed, and the destination register keeps its
-    old committed value.
+    A trap mid-block must settle exactly the committed prefix: the
+    faulting load is not retired, pc sits on the faulting slot, the
+    earlier members' register writes stand, and the destination
+    register keeps its old committed value.
     """
-    prog = assemble(_GUARD_CASES["mid_trace_fault"])
-    table = compiled_table(prog, CoreConfig())
-    for i in range(len(prog.instructions)):
-        table.compile_entry(i)
+    prog = assemble(_GUARD_CASES["mid_block_fault"])
     memory = MainMemory()
-    core = Core(0, CoreConfig(), DirectPort(memory), engine="compiled")
+    core = Core(0, CoreConfig(), DirectPort(memory), engine="decoded")
     core.load_program(prog)
     from repro.errors import MemoryAccessError
     with pytest.raises(MemoryAccessError):
@@ -424,7 +394,7 @@ def test_compiled_mid_trace_fault_contract():
     assert core.stats.instructions == 4          # li/addi/xor/li only
     assert core.csrs.raw_read(0xC02) == 4        # instret agrees
     assert core.pc == 16                         # the faulting ld slot
-    assert core.regs.read(2) == 123              # dirty locals flushed
+    assert core.regs.read(2) == 123              # prefix writes stand
     assert core.regs.read(3) == 123 ^ 100
     assert core.regs.read(5) == 0                # rd not clobbered
     assert core.regs.read(6) == 0                # successor not run

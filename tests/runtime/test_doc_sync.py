@@ -30,6 +30,23 @@ def test_every_knob_is_documented(doc_text, name):
         "add it to the knob reference table")
 
 
+def test_every_knob_row_names_a_registered_knob(doc_text):
+    """The reverse direction: a deleted knob's row must go too.
+
+    Only the reference table's rows are read, not every ``REPRO_``
+    string in the file — the prose deliberately shows a misspelling.
+    """
+    registered = {(k.env, k.name) for k in knobs.REGISTRY.values()}
+    rows = [tuple(cell.strip(" `") for cell in line.split("|")[1:3])
+            for line in doc_text.splitlines()
+            if line.startswith("| `REPRO_")]
+    assert rows, "knob reference table not found in EXPERIMENTS.md"
+    stale = [row for row in rows if row not in registered]
+    assert stale == [], (
+        f"EXPERIMENTS.md documents unregistered knobs {stale} — drop "
+        "their rows from the knob reference table")
+
+
 @pytest.mark.parametrize("event", sorted(EVENT_SCHEMA))
 def test_every_event_is_documented(doc_text, event):
     assert f"`{event}`" in doc_text, (

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,61 @@ class TestSubscribers:
             events.unsubscribe(t1)
             events.unsubscribe(t2)
         assert [r["digest"] for r in seen] == ["abc"]
+
+
+#: Child-interpreter script: one thread holds both module locks while
+#: the main thread forks; the forked child must still emit, must not
+#: call the parent's subscriber, and can subscribe afresh.  SIGALRM
+#: ends a child that hangs, so nothing outlives the script.
+_FORK_WHILE_LOCKED = textwrap.dedent("""
+    import os, signal, threading
+    from repro.runtime import events
+
+    seen = []
+    events.subscribe(seen.append)
+    events.get_bus()
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with events._lock, events._subscriber_lock:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait()
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(5)
+        events.emit("serve.start", mode="inherited")
+        mine = []
+        events.subscribe(mine.append)
+        events.emit("serve.start", mode="child")
+        ok = not seen and [r["mode"] for r in mine] == ["child"]
+        os._exit(0 if ok else 3)
+    release.set()
+    holder.join()
+    _, status = os.waitpid(pid, 0)
+    print("child exit", os.waitstatus_to_exitcode(status))
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_while_a_thread_holds_the_bus_locks():
+    """Regression: a child forked while another thread held
+    ``_subscriber_lock`` (or ``_lock``) blocked on its first emit.
+    The fork runs in a child interpreter: forking the threaded pytest
+    process itself would warn, and warnings are errors here."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_LOG_JSON", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-c", _FORK_WHILE_LOCKED],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # -14 is SIGALRM: the child hung on an inherited lock
+    assert proc.stdout.strip() == "child exit 0", proc.stderr
 
 
 class TestCampaignEventLog:

@@ -174,6 +174,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError,
                            match="REPRO_CORE_ENGINE.*decoded"):
             knobs.value("core_engine")
+        # The retired trace tier fails loudly rather than running decoded.
+        monkeypatch.setenv("REPRO_CORE_ENGINE", "compiled")
+        with pytest.raises(ConfigurationError,
+                           match="'compiled'.*interp, decoded"):
+            knobs.value("core_engine")
 
     def test_unparseable_int_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
@@ -188,6 +193,11 @@ class TestValidation:
     def test_check_env_accepts_known_and_foreign_names(self):
         knobs.check_env(environ={"REPRO_WORKERS": "4", "PATH": "/bin",
                                  "REPROBATE": "not ours"})
+
+    def test_check_env_rejects_malformed_values(self):
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_CORE_ENGINE.*'compiled'"):
+            knobs.check_env(environ={"REPRO_CORE_ENGINE": "compiled"})
 
     def test_check_env_rejects_typos_with_suggestion(self):
         with pytest.raises(ConfigurationError,
@@ -209,10 +219,10 @@ class TestEnvOverride:
         assert knobs.env_get("core_engine") is None
 
     def test_restores_previous_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE_ENGINE", "compiled")
+        monkeypatch.setenv("REPRO_CORE_ENGINE", "decoded")
         with knobs.env_override("core_engine", "interp"):
             assert knobs.value("core_engine") == "interp"
-        assert knobs.env_get("core_engine") == "compiled"
+        assert knobs.env_get("core_engine") == "decoded"
 
     def test_none_and_skip_are_no_ops(self, monkeypatch):
         monkeypatch.setenv("REPRO_CORE_ENGINE", "interp")
